@@ -16,27 +16,62 @@
 //      key's payload address is stable for the interner's lifetime.
 //
 // GROWTH keeps inserts lock-free without migrating keys: tables form a
-// chain, newest first.  A claimer that crosses the load threshold SEALS the
-// current table (atomic exchange elects one grower) and installs a
-// double-size successor; keys already published stay where they are and
-// every lookup probes the chain newest -> oldest (O(log n) tables, the
-// newest holding most keys).  A claimer that won its CAS in a table that
-// turned out sealed converts the reservation into a TOMBSTONE (probers skip
-// it, probes continue past it) and retries in the successor -- this is what
-// makes a key impossible to publish twice across tables:
+// chain, newest first.  Keys already published stay in the table they were
+// published in, and every lookup probes the chain newest -> oldest
+// (O(log n) tables, the newest holding most keys).  A table is SEALED by
+// one CAS that links its double-size successor (`next`: nullptr -> table);
+// the seal and the successor become visible together, so a thread that
+// finds a table sealed also finds where to go next and never waits on the
+// sealing thread.  Two events seal the current table:
 //
-//   Slot operations on the claim path and the sealed/current flags are
-//   seq_cst, so for two racing inserters of the same key either (a) both
-//   claim in the same table -- same hash, same probe sequence, the second
-//   one meets the first one's reservation and waits -- or (b) the earlier
-//   claimer's sealed-check observes the seal that preceded the later
-//   claimer's table switch and retires its reservation.  Either way exactly
-//   one node per distinct key is ever published, which is what keeps the
-//   explorer's `configs` counter (one fetch_add per inserted == true) exact.
+//   * the publication that brings it to ~60% load (exactly one claimer sees
+//     `used` reach `grow_at`, so one successor is normally allocated);
+//   * a claim that scans the whole table and finds neither its key nor an
+//     empty slot (the grower above is slow, or stragglers that passed the
+//     seal check before the seal filled the rest).  Such a claimer seals
+//     the table itself; if another CAS linked a successor first, it frees
+//     its own copy and takes that one.
+//
+// Whoever links a successor, and every thread that meets a sealed current
+// table, CASes `current_` forward from that table to its successor, so
+// `current_` walks the chain one link at a time and, once the callers have
+// returned, names the newest table.  A claimer that won its CAS in a table
+// that turned out sealed converts the reservation into a TOMBSTONE (probers
+// skip it, probes continue past it) and retries in the successor.
+//
+// EVERY PROBE ENDS.  Slots only move forward (empty -> reserved ->
+// node | tombstone), so a full table never frees a slot again; probing
+// therefore cannot rely on reaching an empty slot.  search() and claim()
+// visit at most capacity slots -- the linear probe sequence covers every
+// slot exactly once in that many steps, so the bound loses no key.  A
+// search that runs out reports "absent here"; a claim that runs out seals
+// the table and returns the retry signal.  The only other wait is on a
+// reservation met along the way, which its owner resolves within two
+// stores.
+//
+// EXACTLY ONCE.  Slot operations on the claim path, the `next` links and
+// `current_` are seq_cst, and a claim in a table happens only after the
+// chain below it was searched.  For two racing inserters of the same key
+// either (a) both claim in the same table -- same hash, same probe
+// sequence; every slot before the first one's reservation was non-empty
+// when it reserved, so the second one's bounded scan reaches that
+// reservation and waits, and it can give up on the table only after its
+// scan passed that slot -- or (b) they claim in different tables.  The
+// newer-table claimer loaded that table from `current_`, so after the
+// older table's `next` was linked, and searched the older table after
+// that.  The older-table claimer loads `next` after its reservation CAS:
+// if the load read nullptr, its reservation precedes the link and the
+// newer-table claimer's search meets it; if the load saw the link, it
+// retires its reservation and retries in the successor.  Either way
+// exactly one node per distinct key is ever published, which is what keeps
+// the explorer's `configs` counter (one fetch_add per inserted == true)
+// exact.
 //
 // DELETION does not exist (the explorer only ever adds configurations), so
 // there is no ABA and no reclamation problem: nodes and superseded tables
 // are freed by the destructor, single-threaded, after the workers joined.
+// A successor that lost the linking CAS was never visible and is freed at
+// once.
 #pragma once
 
 #include <atomic>
@@ -88,6 +123,11 @@ class ConcurrentInterner {
              ContentionCounters& c) {
     for (;;) {
       Table* head = current_.load(std::memory_order_seq_cst);
+      if (Table* succ = head->next.load(std::memory_order_seq_cst)) {
+        // head is sealed: help current_ past it and start over.
+        current_.compare_exchange_strong(head, succ, std::memory_order_seq_cst);
+        continue;
+      }
       // Keys can live in any table of the chain; older tables are sealed,
       // so a key found there is fully published and final.
       for (Table* t = head->prev; t != nullptr; t = t->prev) {
@@ -95,7 +135,7 @@ class ConcurrentInterner {
       }
       const Ref r = claim(*head, words, hash, c);
       if (r.value != nullptr) return r;
-      // head was sealed under us; reload the successor and try again.
+      // head got sealed (by another thread or by this claim); go again.
     }
   }
 
@@ -141,11 +181,12 @@ class ConcurrentInterner {
 
   struct Table {
     Table(std::size_t cap, Table* prev_table)
-        : mask(cap - 1), prev(prev_table),
+        : mask(cap - 1), grow_at((cap * 6 + 9) / 10), prev(prev_table),
           slots(std::make_unique<std::atomic<Node*>[]>(cap)) {}
     const std::size_t mask;
+    const std::size_t grow_at;  ///< publications that seal (~60% load)
     Table* const prev;
-    std::atomic<bool> sealed{false};
+    std::atomic<Table*> next{nullptr};  ///< successor; non-null == sealed
     alignas(kCacheLine) std::atomic<std::size_t> used{0};
     std::unique_ptr<std::atomic<Node*>[]> slots;
   };
@@ -194,10 +235,12 @@ class ConcurrentInterner {
 
   /// Published node for `words` in `t`, or nullptr.  Waits out in-flight
   /// reservations met along the probe path (publication is imminent).
+  /// Visits at most every slot once, so a full table ends the probe too.
   static Node* search(const Table& t, std::span<const std::uint64_t> words,
                       std::uint64_t hash) {
-    for (std::size_t slot = static_cast<std::size_t>(hash) & t.mask;;
-         slot = (slot + 1) & t.mask) {
+    std::size_t slot = static_cast<std::size_t>(hash) & t.mask;
+    for (std::size_t probes = 0; probes <= t.mask;
+         ++probes, slot = (slot + 1) & t.mask) {
       Node* n = t.slots[slot].load(std::memory_order_seq_cst);
       while (n == reserved_sentinel()) {
         // Mid-publication: the claimer is two stores from done (or about
@@ -208,24 +251,26 @@ class ConcurrentInterner {
       if (n == tombstone_sentinel()) continue;
       if (key_equals(*n, words, hash)) return n;
     }
+    return nullptr;  // every slot holds another key or a tombstone
   }
 
   /// Claims or finds `words` in `head`.  Ref.value == nullptr means `head`
-  /// got sealed out from under the claim: caller must retry on the new
-  /// current table.
+  /// is sealed (found so, or sealed here because no slot is left): caller
+  /// must retry on the successor.
   Ref claim(Table& head, std::span<const std::uint64_t> words,
             std::uint64_t hash, ContentionCounters& c) {
-    for (std::size_t slot = static_cast<std::size_t>(hash) & head.mask;;
-         slot = (slot + 1) & head.mask) {
+    std::size_t slot = static_cast<std::size_t>(hash) & head.mask;
+    for (std::size_t probes = 0; probes <= head.mask;
+         ++probes, slot = (slot + 1) & head.mask) {
       Node* cur = head.slots[slot].load(std::memory_order_seq_cst);
       if (cur == nullptr) {
         Node* expected = nullptr;
         if (head.slots[slot].compare_exchange_strong(
                 expected, reserved_sentinel(), std::memory_order_seq_cst,
                 std::memory_order_seq_cst)) {
-          if (head.sealed.load(std::memory_order_seq_cst)) {
-            // A grower sealed this table before our reservation became
-            // the key's home; retire the slot and move to the successor.
+          if (head.next.load(std::memory_order_seq_cst) != nullptr) {
+            // A successor was linked before our reservation became the
+            // key's home; retire the slot and move to the successor.
             head.slots[slot].store(tombstone_sentinel(),
                                    std::memory_order_seq_cst);
             return Ref{nullptr, false};
@@ -253,17 +298,35 @@ class ConcurrentInterner {
       if (cur == tombstone_sentinel()) continue;
       if (key_equals(*cur, words, hash)) return Ref{&cur->value, false};
     }
+    // No empty slot and no match: `words` is not in head, and head can
+    // take no further key.
+    seal(head);
+    return Ref{nullptr, false};
   }
 
   void maybe_grow(Table& head) {
-    const std::size_t used =
-        head.used.fetch_add(1, std::memory_order_acq_rel) + 1;
     // Grow at ~60% load so probe chains stay short under contention.
-    if (used * 10 < (head.mask + 1) * 6) return;
-    if (head.sealed.exchange(true, std::memory_order_seq_cst)) return;
-    // We won the seal: we are the only installer of the successor.
-    current_.store(new Table((head.mask + 1) * 2, &head),
-                   std::memory_order_seq_cst);
+    // Exactly one publication brings `used` to grow_at.
+    if (head.used.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        head.grow_at) {
+      seal(head);
+    }
+  }
+
+  /// Links a successor to `t` unless one is linked already, then moves
+  /// current_ past `t`.
+  void seal(Table& t) {
+    Table* succ = t.next.load(std::memory_order_seq_cst);
+    if (succ == nullptr) {
+      auto fresh = std::make_unique<Table>((t.mask + 1) * 2, &t);
+      if (t.next.compare_exchange_strong(succ, fresh.get(),
+                                         std::memory_order_seq_cst)) {
+        succ = fresh.release();
+      }  // else another seal won; succ now holds its successor
+    }
+    Table* expected = &t;
+    current_.compare_exchange_strong(expected, succ,
+                                     std::memory_order_seq_cst);
   }
 
   std::atomic<Table*> current_;

@@ -5,7 +5,7 @@
 //     an exactly-once claim stress (owner popping against thief packs);
 //   * ConcurrentInterner -- the two-phase claim protocol's exactly-once
 //     publication under same-key races, and growth (table chaining) keeping
-//     every key findable;
+//     every key findable and absent-key lookups ending after a race;
 //   * StatsSnapshot -- the seqlock + double-collect read is a consistent
 //     cut (a writer-maintained cross-counter invariant survives concurrent
 //     collects; a torn read would break it), and the quiescent collect is
@@ -238,6 +238,48 @@ TEST(ConcurrentCoreInterner, PublishRacePublishesEachKeyExactlyOnce) {
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       ASSERT_EQ(inserted_count[i].load(std::memory_order_relaxed), 1)
           << "key " << i << " round " << round;
+    }
+  }
+}
+
+TEST(ConcurrentCoreInterner, AbsentKeyLookupEndsAfterRace) {
+  // Racers that pass the seal check before a table is sealed still publish
+  // into it, and claimers that reserve a slot just after the seal leave a
+  // tombstone, so a tiny table can end up with no empty slot.  Probes must
+  // not depend on reaching one: find() of a key that was never interned
+  // returns nullptr after the race, for every table in the chain.
+  const int rounds = stress_rounds(4);
+  const int kThreads = 8;
+  const std::uint64_t kKeys = 256;
+  for (int round = 0; round < rounds; ++round) {
+    ConcurrentInterner<int> interner(8);
+    std::atomic<bool> start{false};
+    std::vector<std::thread> threads;
+    for (int th = 0; th < kThreads; ++th) {
+      threads.emplace_back([&, th] {
+        ContentionCounters c;
+        while (!start.load(std::memory_order_acquire)) {}
+        for (std::uint64_t k = 0; k < kKeys; ++k) {
+          const std::uint64_t i =
+              (k * 5 + static_cast<std::uint64_t>(th) * 37) % kKeys;
+          const auto words = key_words(i);
+          interner.intern(words, concurrent::hash_words(words), c);
+        }
+      });
+    }
+    start.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+
+    EXPECT_EQ(interner.size(), kKeys) << "round " << round;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      const auto present = key_words(i);
+      EXPECT_NE(interner.find(present, concurrent::hash_words(present)),
+                nullptr)
+          << "key " << i << " round " << round;
+      const auto absent = key_words(kKeys + i);
+      EXPECT_EQ(interner.find(absent, concurrent::hash_words(absent)),
+                nullptr)
+          << "key " << kKeys + i << " round " << round;
     }
   }
 }
