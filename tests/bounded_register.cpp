@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "wfregs/core/oneuse_from_type.hpp"
@@ -40,6 +41,17 @@ struct BoundedBitScenario {
   std::vector<int> writes;
   int reads;
 };
+
+// Prints a scenario as "(initial, {writes}, reads)". Without it gtest dumps
+// the raw object bytes -- struct padding and heap pointers -- so each run
+// gave the parameterized tests different names.
+void PrintTo(const BoundedBitScenario& sc, std::ostream* os) {
+  *os << '(' << sc.initial << ", {";
+  for (std::size_t i = 0; i < sc.writes.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << sc.writes[i];
+  }
+  *os << "}, " << sc.reads << ')';
+}
 
 class BoundedBitSweep
     : public ::testing::TestWithParam<BoundedBitScenario> {};
